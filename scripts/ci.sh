@@ -187,6 +187,29 @@ cmp "$tmp/fork.csv" "$tmp/cold.csv"
 cmp "$tmp/fork.json" "$tmp/cold.json"
 "$hccsim" stats-diff "$tmp/cold.json" "$tmp/fork.json"
 
+# The same gate on a chained cut path through a spec workload: the
+# cross-seed tree reseeds gaussian's KET jitter stream at 0.5, then
+# advances every seed node to 0.95 before the per-cell suffix.
+for j in 1 4; do
+    "$hccsim" faults --app gaussian --rates 0.25,0.5 --seeds 41,42 \
+        --fork-point 0.5/0.95 --jobs "$j" \
+        --out "$tmp/chain$j.csv" --format csv \
+        --stats-out "$tmp/chain$j.json" >/dev/null
+done
+"$hccsim" faults --app gaussian --rates 0.25,0.5 --seeds 41,42 \
+    --fork-point 0.5/0.95 --no-snapshot --jobs 4 \
+    --out "$tmp/chain_cold.csv" --format csv \
+    --stats-out "$tmp/chain_cold.json" >/dev/null
+for j in 1 4; do
+    cmp "$tmp/chain$j.csv" "$tmp/chain_cold.csv"
+    cmp "$tmp/chain$j.json" "$tmp/chain_cold.json"
+done
+
+# An overflowing --scale is a user error (exit 1), never an abort.
+rc=0
+"$hccsim" run --app 2mm --scale 1e12 >/dev/null 2>&1 || rc=$?
+test "$rc" -eq 1
+
 # Snapshot subcommand smoke: capture a prefix snapshot to disk and
 # inspect it back (the file must carry the app and section table).
 "$hccsim" snapshot --app llm --cc --out "$tmp/llm.snap" >/dev/null

@@ -1508,8 +1508,6 @@ runCli(const Options &opt, std::ostream &os)
             workloads::WorkloadRegistry::instance().get(so.app);
         if (so.sim.uvm && !w.supportsUvm())
             fatal("workload '%s' has no UVM variant", so.app.c_str());
-        if (!w.forkable())
-            fatal("workload '%s' is not forkable", so.app.c_str());
         const snap::ForkPoint fork_point = so.fork_point.value_or(
             snap::ForkPoint{snap::ForkPoint::Mode::Auto, 0.0});
         const auto cuts = fork_point.resolvePath(w);
@@ -1527,12 +1525,14 @@ runCli(const Options &opt, std::ostream &os)
         params.scale = so.sim.scale;
         params.seed = so.sim.seed;
         rt::Context ctx(sys);
-        // A chained path captures the *deepest* cut: run the prefix
-        // to the first cut, then each segment to the next.  The
-        // parent link records the path this capture chains from.
-        auto resume = w.runPrefix(ctx, params, cuts[0]);
-        for (std::size_t d = 1; d < cuts.size(); ++d)
-            resume = w.runSegment(ctx, params, *resume, cuts[d]);
+        // A chained path captures the *deepest* cut: open the
+        // session and advance it to each cut in turn.  The parent
+        // link records the path this capture chains from.
+        const auto session = w.makeSession(params);
+        session->open(ctx);
+        for (const double cut : cuts)
+            session->advance(ctx, workloads::stepAtFraction(
+                                      cut, session->totalSteps()));
         snap::Snapshot snapshot;
         ctx.captureSnapshot(snapshot);
         snapshot.meta.app = so.app;

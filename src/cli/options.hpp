@@ -209,7 +209,7 @@ struct SnapshotOptions
 {
     std::string app;
     SimShape sim;
-    /** Unset = the workload's fork_after marker ("auto"). */
+    /** Unset = "auto" (snap::kAutoForkPoint). */
     std::optional<snap::ForkPoint> fork_point;
     std::string out_file;
     /** Snapshot file to print instead of capturing. */

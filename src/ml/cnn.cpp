@@ -160,8 +160,7 @@ cnnTrainSegment(rt::Context &ctx, const CnnTrainConfig &config,
 }
 
 CnnTrainState
-cnnTrainPrefix(rt::Context &ctx, const CnnTrainConfig &config,
-               int warm_steps)
+cnnTrainPrefix(rt::Context &ctx, const CnnTrainConfig &config)
 {
     if (config.batch_size <= 0 || config.steps <= 0)
         fatal("cnn training needs positive batch size and steps");
@@ -211,8 +210,6 @@ cnnTrainPrefix(rt::Context &ctx, const CnnTrainConfig &config,
     cnnStep(ctx, config, state);
 
     state.steady_start = ctx.now();
-    cnnTrainSegment(ctx, config, state,
-                    std::clamp(warm_steps, 0, config.steps));
     return state;
 }
 
@@ -246,8 +243,7 @@ cnnTrainFinish(rt::Context &ctx, const CnnTrainConfig &config,
 CnnTrainResult
 trainCnn(rt::Context &ctx, const CnnTrainConfig &config)
 {
-    return cnnTrainFinish(ctx, config,
-                          cnnTrainPrefix(ctx, config, 0));
+    return cnnTrainFinish(ctx, config, cnnTrainPrefix(ctx, config));
 }
 
 std::vector<CnnTrainResult>

@@ -80,10 +80,12 @@ struct CnnTrainResult
 CnnTrainResult trainCnn(rt::Context &ctx, const CnnTrainConfig &config);
 
 /**
- * Split-phase training, mirroring the llm trio (llm.hpp): the
- * training loop's state crossing a prefix/suffix cut at a step
- * boundary.  trainCnn() is exactly
- * cnnTrainFinish(ctx, cfg, cnnTrainPrefix(ctx, cfg, 0)).
+ * Split-phase training, mirroring the llm trio (llm.hpp) and behind
+ * the registry's "cnntrain" Session (workloads/mlapps.cpp): the
+ * training loop's state across step boundaries.  The prefix issues
+ * only the warm-up step; only cnnTrainSegment advances steady-state
+ * steps.  trainCnn() is exactly
+ * cnnTrainFinish(ctx, cfg, cnnTrainPrefix(ctx, cfg)).
  */
 struct CnnTrainState
 {
@@ -107,11 +109,9 @@ struct CnnTrainState
     int next_step = 0;
 };
 
-/** Allocations, the warm-up step and the first @p warm_steps
- *  steady-state steps. */
+/** Allocations and the warm-up step. */
 CnnTrainState cnnTrainPrefix(rt::Context &ctx,
-                             const CnnTrainConfig &config,
-                             int warm_steps);
+                             const CnnTrainConfig &config);
 
 /** Advance the training loop in place: steady-state steps
  *  [state.next_step, to_step).  Prefix + segments + finish issues

@@ -120,8 +120,7 @@ llmServeSegment(rt::Context &ctx, const LlmConfig &config,
 }
 
 LlmServeState
-llmServePrefix(rt::Context &ctx, const LlmConfig &config,
-               int warm_steps)
+llmServePrefix(rt::Context &ctx, const LlmConfig &config)
 {
     if (config.batch <= 0 || config.gen_len <= 0)
         fatal("llm serving needs positive batch and generation len");
@@ -166,9 +165,6 @@ llmServePrefix(rt::Context &ctx, const LlmConfig &config,
         ctx.launchKernel(kd);
         ctx.deviceSynchronize();
     }
-
-    llmServeSegment(ctx, config, state,
-                  std::clamp(warm_steps, 0, config.gen_len));
     return state;
 }
 
@@ -198,8 +194,7 @@ llmServeFinish(rt::Context &ctx, const LlmConfig &config,
 LlmResult
 serveLlm(rt::Context &ctx, const LlmConfig &config)
 {
-    return llmServeFinish(ctx, config,
-                          llmServePrefix(ctx, config, 0));
+    return llmServeFinish(ctx, config, llmServePrefix(ctx, config));
 }
 
 std::vector<LlmResult>

@@ -97,10 +97,11 @@ SimTime llmFrameworkStepCost(LlmBackend backend, int batch);
 LlmResult serveLlm(rt::Context &ctx, const LlmConfig &config);
 
 /**
- * Split-phase serving, for the campaign fork engine: the serving
- * loop's state crossing a prefix/suffix cut at a decode-step
- * boundary.  serveLlm() is exactly
- * llmServeFinish(ctx, cfg, llmServePrefix(ctx, cfg, 0)).
+ * Split-phase serving, the step API behind the registry's "llm"
+ * Session (workloads/mlapps.cpp): the serving loop's state across
+ * decode-step boundaries.  The prefix issues no decode step; only
+ * llmServeSegment advances.  serveLlm() is exactly
+ * llmServeFinish(ctx, cfg, llmServePrefix(ctx, cfg)).
  */
 struct LlmServeState
 {
@@ -116,12 +117,8 @@ struct LlmServeState
     int next_step = 0;
 };
 
-/**
- * Allocations, prompt ingress, prefill and the first @p warm_steps
- * decode steps.
- */
-LlmServeState llmServePrefix(rt::Context &ctx, const LlmConfig &config,
-                             int warm_steps);
+/** Allocations, prompt ingress and prefill. */
+LlmServeState llmServePrefix(rt::Context &ctx, const LlmConfig &config);
 
 /**
  * Advance the serving loop in place: decode steps

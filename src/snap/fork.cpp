@@ -127,27 +127,27 @@ runLegacyCell(const ForkGroupSpec &group, const ForkCell &cell,
  * Apply one arm at the current cut of @p ctx.  Reseed arms switch the
  * Context's seed-derived streams to the cell seed (exactly the state
  * a fresh Context constructed with it would hold) and re-derive the
- * workload-local resume streams; Faults arms re-arm the injector.
- * @return the resume to continue from (@p reseeded keeps a re-derived
- * resume alive when the workload produced one).
+ * session's own streams; Faults arms re-arm the injector.
  */
-const workloads::Workload::Resume *
-applyArm(rt::Context &ctx, const workloads::Workload &w,
-         const ForkArm &arm, workloads::WorkloadParams &params,
-         const workloads::Workload::Resume *resume,
-         std::unique_ptr<workloads::Workload::Resume> &reseeded)
+void
+applyArm(rt::Context &ctx, const ForkArm &arm,
+         workloads::Session &session)
 {
     if (arm.kind == ForkArm::Kind::Faults) {
         ctx.armFaults(arm.faults);
-        return resume;
+        return;
     }
     ctx.reseedAtFork(arm.seed);
-    params.seed = arm.seed;
-    if (auto r = w.reseedResume(*resume, params)) {
-        reseeded = std::move(r);
-        return reseeded.get();
-    }
-    return resume;
+    session.reseed(arm.seed);
+}
+
+/** Advance @p session to the cut at @p fraction. */
+void
+advanceTo(rt::Context &ctx, workloads::Session &session,
+          double fraction)
+{
+    session.advance(
+        ctx, workloads::stepAtFraction(fraction, session.totalSteps()));
 }
 
 /** Cold-split mode: own Context, full prefix + arm/segment chain,
@@ -162,30 +162,23 @@ runColdSplitCell(const workloads::Workload &w,
         rt::SystemConfig sys = group.sys;
         sys.faults = fault::FaultConfig{};
         rt::Context ctx(sys);
-        workloads::WorkloadParams params = group.params;
         {
             obs::ProfileScope profile(&ctx.obs(), "workload_run");
-            std::unique_ptr<workloads::Workload::Resume> owned =
-                w.runPrefix(ctx, params, cuts[0]);
-            const workloads::Workload::Resume *resume = owned.get();
-            std::unique_ptr<workloads::Workload::Resume> reseeded;
+            const auto session = w.makeSession(group.params);
+            session->open(ctx);
+            advanceTo(ctx, *session, cuts[0]);
             for (std::size_t d = 1; d < cuts.size(); ++d) {
                 if (d - 1 < cell.arms.size())
-                    resume = applyArm(ctx, w, cell.arms[d - 1],
-                                      params, resume, reseeded);
-                auto next = w.runSegment(ctx, params, *resume,
-                                         cuts[d]);
-                owned = std::move(next);
-                resume = owned.get();
+                    applyArm(ctx, cell.arms[d - 1], *session);
+                advanceTo(ctx, *session, cuts[d]);
             }
             if (cell.arms.size() == cuts.size())
-                resume = applyArm(ctx, w, cell.arms.back(), params,
-                                  resume, reseeded);
+                applyArm(ctx, cell.arms.back(), *session);
             ctx.armFaults(cell.faults);
-            w.runSuffix(ctx, params, *resume);
+            session->finish(ctx);
         }
-        out.result = collectCellResult(ctx, w, params, group.sys.cc,
-                                       start,
+        out.result = collectCellResult(ctx, w, group.params,
+                                       group.sys.cc, start,
                                        /*clone_stats=*/false);
         out.ok = true;
     } catch (const FatalError &e) {
@@ -214,8 +207,8 @@ armKey(const ForkArm &arm)
 
 /**
  * The fork-mode executor: a trie over the cells' arm paths, walked
- * depth-first on one Context.  Each node owns the snapshot, resume
- * state and incremental analyzer of "the run up to cuts[depth] with
+ * depth-first on one Context.  Each node owns the snapshot, session
+ * and incremental analyzer of "the run up to cuts[depth] with
  * this arm path applied"; leaves replay their suffix from the
  * deepest node they share.  Snapshots are released when a node's
  * subtree completes and evicted LRU under the byte budget; an
@@ -249,8 +242,9 @@ class TreeRunner
             {
                 obs::ProfileScope profile(&ctx_->obs(),
                                           "fork_prefix");
-                root_->resume =
-                    w_.runPrefix(*ctx_, group_.params, cuts_[0]);
+                root_->session = w_.makeSession(group_.params);
+                root_->session->open(*ctx_);
+                advanceTo(*ctx_, *root_->session, cuts_[0]);
             }
             captureNode(*root_);
             root_->analyzer =
@@ -279,10 +273,10 @@ class TreeRunner
         std::vector<std::unique_ptr<TreeNode>> children;
         std::vector<std::size_t> leaves; //!< cell indices replaying
                                          //!< their suffix from here
-        // Runtime state, valid once materialized:
-        workloads::WorkloadParams params;
+        // Runtime state, valid once materialized; the session sits
+        // at this node's cut and is only ever cloned, never advanced.
         std::unique_ptr<Snapshot> snap;
-        std::unique_ptr<workloads::Workload::Resume> resume;
+        std::unique_ptr<workloads::Session> session;
         std::unique_ptr<trace::ForkAnalyzer> analyzer;
         std::uint64_t last_use = 0;
     };
@@ -291,7 +285,6 @@ class TreeRunner
     buildTrie()
     {
         root_ = std::make_unique<TreeNode>();
-        root_->params = group_.params;
         root_->label = "prefix";
         nodes_.push_back(root_.get());
         for (std::size_t i = 0; i < group_.cells.size(); ++i) {
@@ -348,21 +341,17 @@ class TreeRunner
             ensureResident(node);
             ctx_->restoreSnapshot(*node.snap);
             node.last_use = ++clock_;
-            workloads::WorkloadParams params = node.params;
             const ForkCell &cell = group_.cells[index];
-            const workloads::Workload::Resume *resume =
-                node.resume.get();
-            std::unique_ptr<workloads::Workload::Resume> reseeded;
+            const auto session = node.session->clone();
             if (cell.arms.size() == cuts_.size())
-                resume = applyArm(*ctx_, w_, cell.arms.back(),
-                                  params, resume, reseeded);
+                applyArm(*ctx_, cell.arms.back(), *session);
             ctx_->armFaults(cell.faults);
             {
                 obs::ProfileScope profile(&ctx_->obs(),
                                           "workload_run");
-                w_.runSuffix(*ctx_, params, *resume);
+                session->finish(*ctx_);
             }
-            out.result = collectCellResult(*ctx_, w_, params,
+            out.result = collectCellResult(*ctx_, w_, group_.params,
                                            group_.sys.cc, start,
                                            /*clone_stats=*/true,
                                            node.analyzer.get());
@@ -397,17 +386,12 @@ class TreeRunner
         ensureResident(parent);
         ctx_->restoreSnapshot(*parent.snap);
         parent.last_use = ++clock_;
-        node.params = parent.params;
-        const workloads::Workload::Resume *resume =
-            parent.resume.get();
-        std::unique_ptr<workloads::Workload::Resume> reseeded;
+        node.session = parent.session->clone();
         if (node.arm != nullptr)
-            resume = applyArm(*ctx_, w_, *node.arm, node.params,
-                              resume, reseeded);
+            applyArm(*ctx_, *node.arm, *node.session);
         {
             obs::ProfileScope profile(&ctx_->obs(), "fork_prefix");
-            node.resume = w_.runSegment(*ctx_, node.params, *resume,
-                                        cuts_[node.depth]);
+            advanceTo(*ctx_, *node.session, cuts_[node.depth]);
         }
         if (!node.analyzer) {
             node.analyzer = std::make_unique<trace::ForkAnalyzer>(
@@ -423,7 +407,7 @@ class TreeRunner
         node.snap = std::make_unique<Snapshot>();
         ctx_->captureSnapshot(*node.snap);
         node.snap->meta.app = group_.app;
-        node.snap->meta.uvm = node.params.uvm;
+        node.snap->meta.uvm = group_.params.uvm;
         node.snap->meta.fork_point = fork_point_str_;
         node.snap->meta.parent =
             node.parent != nullptr ? node.parent->label : "";
@@ -491,20 +475,19 @@ failAllCells(ForkGroupOutcome &out, const std::string &message)
 } // namespace
 
 double
-ForkPoint::resolve(const workloads::Workload &workload) const
+ForkPoint::resolve() const
 {
-    if (mode == Mode::None || !workload.forkable())
+    if (mode == Mode::None)
         return -1.0;
-    const double f = mode == Mode::Auto ? workload.defaultForkPoint()
-                                        : fraction;
-    return std::clamp(f, 0.0, 1.0);
+    return std::clamp(mode == Mode::Auto ? kAutoForkPoint : fraction,
+                      0.0, 1.0);
 }
 
 std::vector<double>
 ForkPoint::resolvePath(const workloads::Workload &workload) const
 {
     std::vector<double> cuts;
-    const double first = resolve(workload);
+    const double first = resolve();
     if (first < 0.0)
         return cuts;
     cuts.push_back(first);

@@ -17,9 +17,9 @@
  *    arms at the final cut and runs the suffix.  Semantically
  *    identical to fork mode — this pair is the byte-identity gate CI
  *    enforces with `cmp`.
- *  - *legacy* (`--fork-point none`, or a non-forkable workload): the
- *    pre-fork behaviour — faults are armed at Context construction
- *    and the workload runs start to finish via runWorkload().
+ *  - *legacy* (`--fork-point none`): the pre-fork behaviour — faults
+ *    are armed at Context construction and the workload runs start
+ *    to finish via runWorkload().
  *
  * Mode note: fork and cold-split arm faults *at the fork point*, so
  * fault processes only act on the suffix; legacy arms at
@@ -28,12 +28,17 @@
  * equally valid — outputs under `none` vs the split modes; the
  * split modes always match each other exactly.
  *
+ * Both split modes drive a workloads::Session: open it, advance it
+ * to each cut (fraction f lands on stepAtFraction(f, totalSteps())),
+ * finish it after the last.  Fork mode clones a tree node's session
+ * before reseeding or advancing it, so the node keeps its own cut.
+ *
  * Cross-seed prefix sharing: a group whose cells carry Reseed arms is
  * constructed from a seed-independent identity seed (identitySeed()),
  * runs one prefix for *all* seeds, and switches every seed-derived
  * stream to the cell seed at the fork point (Context::reseedAtFork +
- * Workload::reseedResume).  The cold-split control replays the exact
- * same derivation, so byte-identity is preserved by construction.
+ * Session::reseed).  The cold-split control replays the exact same
+ * derivation, so byte-identity is preserved by construction.
  */
 
 #ifndef HCC_SNAP_FORK_HPP
@@ -51,6 +56,11 @@
 
 namespace hcc::snap {
 
+/** The first cut of a `--fork-point auto` path: after nearly the
+ *  whole launch schedule, which is shareable warmup for every
+ *  registered workload. */
+inline constexpr double kAutoForkPoint = 0.9;
+
 /**
  * Where a campaign places the prefix/suffix cut.  A fork point is a
  * *path*: the first component is the classic single cut, optional
@@ -63,7 +73,7 @@ struct ForkPoint
     enum class Mode {
         /** No split: construction-time arming, full run(). */
         None,
-        /** Use the workload's fork_after marker. */
+        /** Cut at kAutoForkPoint. */
         Auto,
         /** Explicit launch fraction in [0, 1]. */
         Fraction,
@@ -76,18 +86,16 @@ struct ForkPoint
     std::vector<double> chain;
 
     /**
-     * The effective first-cut fraction for @p workload: negative when
-     * this fork point (or the workload) does not support splitting,
-     * otherwise the fraction of launches the shared prefix covers.
+     * The effective first-cut fraction: negative for `none`,
+     * otherwise the fraction of steps the shared prefix covers.
      */
-    double resolve(const workloads::Workload &workload) const;
+    double resolve() const;
 
     /**
-     * All cuts of the path (first + chain) for @p workload; empty
-     * when splitting does not apply.  Fatal when an `auto` first cut
-     * resolves at or past the first chained cut — the path would not
-     * be increasing, and silently reordering it would change what the
-     * user asked for.
+     * All cuts of the path (first + chain); empty for `none`.  Fatal,
+     * naming @p workload, when an `auto` first cut resolves at or past
+     * the first chained cut — the path would not be increasing, and
+     * silently reordering it would change what the user asked for.
      */
     std::vector<double>
     resolvePath(const workloads::Workload &workload) const;

@@ -116,14 +116,14 @@ seedlessKey(const RunCell &cell)
 }
 
 /** Whether the fork engine can actually split this cell (the seed
- *  may then be deferred to a reseed-at-fork arm). */
+ *  may then be deferred to a reseed-at-fork arm): a known app, with
+ *  a UVM variant when the cell asks for one. */
 bool
 crossSeedEligible(const RunCell &cell)
 {
     const workloads::Workload *w =
         workloads::WorkloadRegistry::instance().find(cell.app);
-    return w != nullptr && w->forkable()
-        && !(cell.uvm && !w->supportsUvm());
+    return w != nullptr && !(cell.uvm && !w->supportsUvm());
 }
 
 } // namespace
@@ -207,7 +207,7 @@ runSweep(const GridSpec &grid, int jobs, obs::Registry *sweep_obs)
     result.jobs = jobs < 1 ? 1 : jobs;
     result.cells.resize(cells.size());
 
-    // Prefix-group the grid.  Cells of a forkable app that differ
+    // Prefix-group the grid.  Cells of a splittable app that differ
     // only in their seed share one prefix (cross-seed sharing: the
     // prefix runs under a seed-independent identity seed and each
     // cell carries a reseed-at-fork arm); everything else groups by

@@ -58,7 +58,7 @@ struct GridSpec
     bool tee_io = false;
     /**
      * Prefix/suffix cut for the fork engine (snap/fork.hpp).  Cells
-     * of a forkable app that differ only in their seed share one
+     * of one app that differ only in their seed share one
      * prefix: the group simulates it once under a seed-independent
      * identity seed and each cell reseeds to its own seed at the
      * fork point (cross-seed prefix sharing); chained fork points

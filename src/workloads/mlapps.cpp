@@ -1,8 +1,9 @@
 /**
  * @file
  * ML apps in the workload registry, written as Sessions (session.hpp)
- * so the fork engine, the snapshot TreeRunner and the serve scheduler
- * all drive them through the same step-cursor API.
+ * over the ml:: split-phase trios, so whole runs, the fork engine and
+ * the snapshot TreeRunner drive them through the same step-cursor
+ * API.
  *
  * "llm" mirrors the fig14 microbench's slowest column — Llama-3-8B
  * on HuggingFace with BF16 weights at batch 8 (224 launches per
@@ -18,7 +19,6 @@
 #include "common/log.hpp"
 #include "ml/cnn.hpp"
 #include "ml/llm.hpp"
-#include "workloads/session.hpp"
 #include "workloads/workload.hpp"
 
 namespace hcc::workloads {
@@ -38,7 +38,7 @@ class LlmSession final : public Session
     void
     open(rt::Context &ctx) override
     {
-        state_ = ml::llmServePrefix(ctx, config_, 0);
+        state_ = ml::llmServePrefix(ctx, config_);
     }
 
     void
@@ -68,16 +68,12 @@ class LlmSession final : public Session
     ml::LlmResult result_;
 };
 
-class LlmWorkload final : public SessionWorkload
+class LlmWorkload final : public Workload
 {
   public:
     std::string name() const override { return "llm"; }
     std::string suite() const override { return "ml"; }
     bool supportsUvm() const override { return false; }
-
-    // Decode launches dominate the serving session, so nearly the
-    // whole schedule is shareable warmup.
-    double defaultForkPoint() const override { return 0.9; }
 
     std::unique_ptr<Session>
     makeSession(const WorkloadParams &params) const override
@@ -92,10 +88,6 @@ class LlmWorkload final : public SessionWorkload
                                 * params.scale));
         return std::make_unique<LlmSession>(cfg);
     }
-
-    // No reseedResume override: the serving loop keeps no
-    // workload-local stochastic state (decode durations are derived
-    // from the config, jitter lives in the Context's streams).
 };
 
 /** The cnn trio as a Session. */
@@ -112,7 +104,7 @@ class CnnSession final : public Session
     void
     open(rt::Context &ctx) override
     {
-        state_ = ml::cnnTrainPrefix(ctx, config_, 0);
+        state_ = ml::cnnTrainPrefix(ctx, config_);
     }
 
     void
@@ -142,16 +134,12 @@ class CnnSession final : public Session
     ml::CnnTrainResult result_;
 };
 
-class CnnTrainWorkload final : public SessionWorkload
+class CnnTrainWorkload final : public Workload
 {
   public:
     std::string name() const override { return "cnntrain"; }
     std::string suite() const override { return "ml"; }
     bool supportsUvm() const override { return false; }
-
-    // Steady-state steps dominate the schedule after one warm-up
-    // step, same shape as llm decode.
-    double defaultForkPoint() const override { return 0.9; }
 
     std::unique_ptr<Session>
     makeSession(const WorkloadParams &params) const override

@@ -2,15 +2,11 @@
  * @file
  * The Session interface: one workload instance driven step by step.
  *
- * Three engines advance workloads incrementally — the campaign fork
- * engine replays suffixes from snapshots, the snapshot TreeRunner
- * materializes chained cuts, and the continuous-batching scheduler
- * (serve/) interleaves thousands of request sessions.  Before this
- * interface each engine spoke a per-workload split-phase trio
- * (llmServePrefix/Segment/Finish, cnnTrainPrefix/...) directly;
- * Session unifies the trios behind one step-cursor API, and
- * SessionWorkload adapts any Session-shaped workload onto the
- * registry's fraction-based split-phase protocol (workload.hpp).
+ * Every workload runs through a Session (Workload::makeSession): a
+ * whole run is open() + finish(), and the campaign fork engine and
+ * the snapshot TreeRunner (snap/fork.hpp) and `hccsim snapshot` cut
+ * the same session at fraction-based step boundaries
+ * (stepAtFraction) to share, capture and replay prefixes.
  *
  * Lifecycle:  open() issues the setup prefix (allocations, input
  * transfers, warm-up/prefill); advance(to) issues steady-state steps
@@ -18,17 +14,18 @@
  * computation and frees.  open -> advance* -> finish on one Context
  * issues the identical API call sequence regardless of how the steps
  * are grouped.  clone() copies the session state (a value: buffer
- * handles and cursors, not live resources), which is what makes a
- * Session usable as an immutable fork-point Resume — the tree node
- * clones before advancing, so the original keeps describing the cut.
+ * handles and cursors, not live resources), so a snapshot-tree node
+ * clones its session before advancing or reseeding and keeps
+ * describing its own cut.
  */
 
 #ifndef HCC_WORKLOADS_SESSION_HPP
 #define HCC_WORKLOADS_SESSION_HPP
 
+#include <cstdint>
 #include <memory>
 
-#include "workloads/workload.hpp"
+#include "runtime/context.hpp"
 
 namespace hcc::workloads {
 
@@ -53,51 +50,23 @@ class Session
     /** Remaining steps, result computation and frees. */
     virtual void finish(rt::Context &ctx) = 0;
 
+    /**
+     * Cross-seed fork support: re-derive the session's own stochastic
+     * state (e.g. a KET jitter stream) for @p seed, exactly as a
+     * session opened under that seed would hold it; buffers and the
+     * cursor are kept.  Called by the fork engine right after
+     * rt::Context::reseedAtFork().  No-op for sessions whose jitter
+     * lives entirely in the Context's streams.
+     */
+    virtual void reseed(std::uint64_t seed) { (void)seed; }
+
     /** Value copy of the session state (see file comment). */
     virtual std::unique_ptr<Session> clone() const = 0;
 };
 
-/**
- * Registry adapter: implements the Workload split-phase protocol on
- * top of makeSession(), so a workload written as a Session is
- * automatically forkable with the identical-call-sequence contract
- * satisfied by construction.
- */
-class SessionWorkload : public Workload
-{
-  public:
-    /** Build a fresh (unopened) session for @p params. */
-    virtual std::unique_ptr<Session>
-    makeSession(const WorkloadParams &params) const = 0;
-
-    bool forkable() const override { return true; }
-
-    /** The step a fraction-based cut lands on: the same rounding for
-     *  every engine, so chained cuts tile without gaps. */
-    static int stepAtFraction(double fraction, int total_steps);
-
-    void run(rt::Context &ctx,
-             const WorkloadParams &params) const override;
-
-    std::unique_ptr<Resume>
-    runPrefix(rt::Context &ctx, const WorkloadParams &params,
-              double fraction) const override;
-
-    void runSuffix(rt::Context &ctx, const WorkloadParams &params,
-                   const Resume &resume) const override;
-
-    std::unique_ptr<Resume>
-    runSegment(rt::Context &ctx, const WorkloadParams &params,
-               const Resume &from, double to_fraction) const override;
-
-  private:
-    struct SessionResume final : Resume
-    {
-        std::unique_ptr<Session> session;
-    };
-
-    static const Session &sessionOf(const Resume &resume);
-};
+/** The step a fraction-based cut lands on: the same rounding for
+ *  every engine, so chained cuts tile without gaps. */
+int stepAtFraction(double fraction, int total_steps);
 
 } // namespace hcc::workloads
 

@@ -1,7 +1,9 @@
 #include "workloads/spec.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <numeric>
@@ -68,129 +70,178 @@ SpecWorkload::SpecWorkload(AppSpec spec)
 
 namespace {
 
-Bytes
-scaled(Bytes bytes, double scale)
-{
-    return static_cast<Bytes>(static_cast<double>(bytes) * scale);
-}
-
-SimTime
-scaledTime(SimTime t, double scale)
-{
-    return static_cast<SimTime>(static_cast<double>(t) * scale);
-}
-
 /** Deterministic KET jitter, identical across base and CC runs. */
 Rng
-ketRng(const AppSpec &spec, const WorkloadParams &params)
+ketRng(const AppSpec &spec, std::uint64_t seed)
 {
-    const std::uint64_t h =
-        std::hash<std::string>{}(spec.name) ^ params.seed;
+    const std::uint64_t h = std::hash<std::string>{}(spec.name) ^ seed;
     return Rng(h, 0x4b45544a49545231ULL);
 }
 
-} // namespace
-
 /**
- * Workload state crossing the prefix/suffix cut: buffer handles, the
- * KET jitter stream position and the launch cursor.  Buffer handles
- * are plain ids into the Context's allocation map, which the
- * snapshot restores, so a Resume captured against one Context state
- * replays against every cell restored from it.
+ * An AppSpec run as a Session: allocations and input transfers on
+ * open(), launches by ordinal on advance(), final sync, output
+ * transfers and frees on finish().  The state is buffer handles
+ * (plain ids into the Context's allocation map, which snapshots
+ * restore), the KET jitter stream and the launch cursor, so a clone
+ * replays against every cell restored from the same snapshot.  The
+ * session borrows its workload's spec and must not outlive it.
  */
-struct SpecWorkload::SpecResume final : Workload::Resume
+class SpecSession final : public Session
 {
-    bool uvm = false;
-    Rng rng{0, 0};
-    std::vector<rt::Buffer> host_in, host_out, dev_in, dev_out;
-    std::vector<rt::Buffer> d2d_bufs;
-    rt::Buffer scratch, iter_dev, iter_host;
-    rt::Buffer managed;
+  public:
+    SpecSession(const AppSpec &spec, const WorkloadParams &params)
+        : spec_(&spec), params_(params), rng_(ketRng(spec, params.seed))
+    {}
+
+    int totalSteps() const override { return spec_->totalLaunches(); }
+    int cursor() const override { return next_launch_; }
+    void open(rt::Context &ctx) override;
+    void advance(rt::Context &ctx, int to_step) override;
+    void finish(rt::Context &ctx) override;
+    void reseed(std::uint64_t seed) override
+    {
+        rng_ = ketRng(*spec_, seed);
+    }
+
+    std::unique_ptr<Session>
+    clone() const override
+    {
+        return std::make_unique<SpecSession>(*this);
+    }
+
+  private:
+    /** @p value as a T; fatal when it does not fit, where the cast
+     *  would be undefined. */
+    template <typename T>
+    T
+    checked(double value) const
+    {
+        // 2^digits is exact in a double; !(x < max) also rejects NaN.
+        if (!(value >= 0.0)
+            || !(value < std::ldexp(1.0,
+                                    std::numeric_limits<T>::digits))) {
+            fatal("workload '%s' at scale %g: a scaled buffer size or "
+                  "kernel time overflows",
+                  spec_->name.c_str(), params_.scale);
+        }
+        return static_cast<T>(value);
+    }
+
+    Bytes
+    scaled(Bytes bytes) const
+    {
+        return checked<Bytes>(static_cast<double>(bytes) * params_.scale);
+    }
+
+    SimTime
+    scaledTime(SimTime t) const
+    {
+        return checked<SimTime>(static_cast<double>(t) * params_.scale);
+    }
+
+    /** Every scaled size and nominal KET, before any runtime call. */
+    void checkScale() const;
+
+    const AppSpec *spec_;
+    WorkloadParams params_;
+    Rng rng_;
+    std::vector<rt::Buffer> host_in_, host_out_, dev_in_, dev_out_;
+    std::vector<rt::Buffer> d2d_bufs_;
+    rt::Buffer scratch_, iter_dev_, iter_host_;
+    rt::Buffer managed_;
     /** Managed bytes each kernel touches (UVM mode). */
-    Bytes touch = 0;
+    Bytes touch_ = 0;
     /** Ordinal of the next launch to issue. */
-    int next_launch = 0;
+    int next_launch_ = 0;
 };
 
-SpecWorkload::SpecResume
-SpecWorkload::setup(rt::Context &ctx,
-                    const WorkloadParams &params) const
+void
+SpecSession::checkScale() const
 {
-    SpecResume st;
-    st.uvm = params.uvm;
-    st.rng = ketRng(spec_, params);
+    const AppSpec &spec = *spec_;
+    (void)scaled(spec.totalInputBytes() + spec.totalOutputBytes());
+    (void)scaled(spec.scratch);
+    (void)scaled(spec.uvm_touch_override);
+    for (const auto *sizes : {&spec.inputs, &spec.outputs,
+                              &spec.d2d_copies}) {
+        for (Bytes b : *sizes)
+            (void)scaled(b);
+    }
+    for (const auto &phase : spec.phases) {
+        (void)scaledTime(phase.ket);
+        (void)scaled(phase.mem_bytes);
+    }
+}
 
-    if (params.uvm) {
+void
+SpecSession::open(rt::Context &ctx)
+{
+    checkScale();
+    const AppSpec &spec = *spec_;
+
+    if (params_.uvm) {
         // One managed region covers inputs + outputs; pages fault
         // over on first kernel touch instead of explicit copies.
-        const Bytes data_bytes = scaled(
-            spec_.totalInputBytes() + spec_.totalOutputBytes(),
-            params.scale);
-        st.managed =
-            ctx.mallocManaged(std::max<Bytes>(data_bytes, 4096));
-        if (spec_.scratch > 0)
-            st.scratch =
-                ctx.mallocDevice(scaled(spec_.scratch, params.scale));
-        st.touch = spec_.uvm_touch_override > 0
-            ? scaled(spec_.uvm_touch_override, params.scale)
-            : scaled(spec_.totalInputBytes(), params.scale);
-        return st;
+        const Bytes data_bytes =
+            scaled(spec.totalInputBytes() + spec.totalOutputBytes());
+        managed_ = ctx.mallocManaged(std::max<Bytes>(data_bytes, 4096));
+        if (spec.scratch > 0)
+            scratch_ = ctx.mallocDevice(scaled(spec.scratch));
+        touch_ = spec.uvm_touch_override > 0
+            ? scaled(spec.uvm_touch_override)
+            : scaled(spec.totalInputBytes());
+        return;
     }
 
     // Allocate host and device buffers.
-    for (Bytes b : spec_.inputs) {
-        const Bytes n = scaled(b, params.scale);
-        st.host_in.push_back(spec_.pinned_host
-                                 ? ctx.mallocHost(n)
-                                 : ctx.hostPageable(n));
-        st.dev_in.push_back(ctx.mallocDevice(n));
+    for (Bytes b : spec.inputs) {
+        const Bytes n = scaled(b);
+        host_in_.push_back(spec.pinned_host ? ctx.mallocHost(n)
+                                            : ctx.hostPageable(n));
+        dev_in_.push_back(ctx.mallocDevice(n));
     }
-    for (Bytes b : spec_.outputs) {
-        const Bytes n = scaled(b, params.scale);
-        st.host_out.push_back(spec_.pinned_host
-                                  ? ctx.mallocHost(n)
-                                  : ctx.hostPageable(n));
-        st.dev_out.push_back(ctx.mallocDevice(n));
+    for (Bytes b : spec.outputs) {
+        const Bytes n = scaled(b);
+        host_out_.push_back(spec.pinned_host ? ctx.mallocHost(n)
+                                             : ctx.hostPageable(n));
+        dev_out_.push_back(ctx.mallocDevice(n));
     }
-    if (spec_.scratch > 0)
-        st.scratch =
-            ctx.mallocDevice(scaled(spec_.scratch, params.scale));
+    if (spec.scratch > 0)
+        scratch_ = ctx.mallocDevice(scaled(spec.scratch));
 
     // Per-iteration streaming/readback staging, if any phase needs
     // it (one buffer serves both directions).
     Bytes iter_bytes = 0;
-    for (const auto &p : spec_.phases)
+    for (const auto &p : spec.phases)
         iter_bytes = std::max({iter_bytes, p.d2h_per_iter,
                                p.h2d_per_iter});
     if (iter_bytes > 0) {
-        st.iter_dev = ctx.mallocDevice(iter_bytes);
-        st.iter_host = spec_.pinned_host
-            ? ctx.mallocHost(iter_bytes)
-            : ctx.hostPageable(iter_bytes);
+        iter_dev_ = ctx.mallocDevice(iter_bytes);
+        iter_host_ = spec.pinned_host ? ctx.mallocHost(iter_bytes)
+                                      : ctx.hostPageable(iter_bytes);
     }
 
     // Copy-then-execute: H2D inputs, optional D2D shuffles.
-    for (std::size_t i = 0; i < st.dev_in.size(); ++i)
-        ctx.memcpy(st.dev_in[i], st.host_in[i], st.dev_in[i].bytes);
-    for (Bytes b : spec_.d2d_copies) {
-        const Bytes n = scaled(b, params.scale);
+    for (std::size_t i = 0; i < dev_in_.size(); ++i)
+        ctx.memcpy(dev_in_[i], host_in_[i], dev_in_[i].bytes);
+    for (Bytes b : spec.d2d_copies) {
+        const Bytes n = scaled(b);
         auto src = ctx.mallocDevice(n);
         auto dst = ctx.mallocDevice(n);
         ctx.memcpy(dst, src, n);
-        st.d2d_bufs.push_back(src);
-        st.d2d_bufs.push_back(dst);
+        d2d_bufs_.push_back(src);
+        d2d_bufs_.push_back(dst);
     }
-    return st;
 }
 
 void
-SpecWorkload::runLaunchRange(rt::Context &ctx,
-                             const WorkloadParams &params,
-                             SpecResume &st, int to_launch) const
+SpecSession::advance(rt::Context &ctx, int to_step)
 {
-    const int from = st.next_launch;
+    const int from = next_launch_;
+    const int to_launch = std::max(to_step, from);
     int ordinal = 0;
-    for (const auto &phase : spec_.phases) {
+    for (const auto &phase : spec_->phases) {
         const int phase_end = ordinal + phase.launches;
         for (int i = 0; i < phase.launches; ++i, ++ordinal) {
             if (ordinal < from || ordinal >= to_launch)
@@ -199,33 +250,26 @@ SpecWorkload::runLaunchRange(rt::Context &ctx,
             k.name = phase.kernel;
             k.module_bytes = phase.module_bytes;
             if (phase.ket > 0) {
-                k.duration = static_cast<SimTime>(st.rng.lognormal(
-                    static_cast<double>(
-                        scaledTime(phase.ket, params.scale)),
+                k.duration = checked<SimTime>(rng_.lognormal(
+                    static_cast<double>(scaledTime(phase.ket)),
                     phase.jitter_sigma));
             } else {
                 // Roofline phase: scale work, derive duration on
                 // the device.
-                k.gflops = phase.gflops * params.scale;
-                k.mem_bytes = scaled(phase.mem_bytes, params.scale);
-                k.dims.grid_x = static_cast<int>(
-                    phase.threads / 256);
+                k.gflops = phase.gflops * params_.scale;
+                k.mem_bytes = scaled(phase.mem_bytes);
+                k.dims.grid_x = static_cast<int>(phase.threads / 256);
                 k.dims.block_x = 256;
             }
-            if (st.uvm) {
-                k.uvm_alloc = st.managed.uvm_handle;
-                k.uvm_touch_bytes =
-                    std::min(st.touch, st.managed.bytes);
+            if (params_.uvm) {
+                k.uvm_alloc = managed_.uvm_handle;
+                k.uvm_touch_bytes = std::min(touch_, managed_.bytes);
             }
-            if (!st.uvm && phase.h2d_per_iter > 0) {
-                ctx.memcpy(st.iter_dev, st.iter_host,
-                           phase.h2d_per_iter);
-            }
+            if (!params_.uvm && phase.h2d_per_iter > 0)
+                ctx.memcpy(iter_dev_, iter_host_, phase.h2d_per_iter);
             ctx.launchKernel(k);
-            if (!st.uvm && phase.d2h_per_iter > 0) {
-                ctx.memcpy(st.iter_host, st.iter_dev,
-                           phase.d2h_per_iter);
-            }
+            if (!params_.uvm && phase.d2h_per_iter > 0)
+                ctx.memcpy(iter_host_, iter_dev_, phase.d2h_per_iter);
         }
         // The phase barrier belongs to whichever range completed the
         // phase, so any split replays it exactly once.
@@ -233,111 +277,51 @@ SpecWorkload::runLaunchRange(rt::Context &ctx,
             && phase_end <= to_launch)
             ctx.deviceSynchronize();
     }
-    st.next_launch = std::min(to_launch, spec_.totalLaunches());
+    next_launch_ = std::min(to_launch, totalSteps());
 }
 
 void
-SpecWorkload::teardown(rt::Context &ctx, SpecResume &st) const
+SpecSession::finish(rt::Context &ctx)
 {
+    advance(ctx, totalSteps());
     ctx.deviceSynchronize();
 
-    if (st.uvm) {
-        if (st.scratch.valid())
-            ctx.free(st.scratch);
-        ctx.free(st.managed);
+    if (params_.uvm) {
+        if (scratch_.valid())
+            ctx.free(scratch_);
+        ctx.free(managed_);
         return;
     }
 
     // Results home, then teardown.
-    for (std::size_t i = 0; i < st.dev_out.size(); ++i)
-        ctx.memcpy(st.host_out[i], st.dev_out[i],
-                   st.dev_out[i].bytes);
-    for (auto &b : st.dev_in)
+    for (std::size_t i = 0; i < dev_out_.size(); ++i)
+        ctx.memcpy(host_out_[i], dev_out_[i], dev_out_[i].bytes);
+    for (auto &b : dev_in_)
         ctx.free(b);
-    for (auto &b : st.dev_out)
+    for (auto &b : dev_out_)
         ctx.free(b);
-    for (auto &b : st.d2d_bufs)
+    for (auto &b : d2d_bufs_)
         ctx.free(b);
-    if (st.scratch.valid())
-        ctx.free(st.scratch);
-    if (st.iter_dev.valid())
-        ctx.free(st.iter_dev);
-    if (st.iter_host.valid())
-        ctx.free(st.iter_host);
-    for (auto &b : st.host_in)
+    if (scratch_.valid())
+        ctx.free(scratch_);
+    if (iter_dev_.valid())
+        ctx.free(iter_dev_);
+    if (iter_host_.valid())
+        ctx.free(iter_host_);
+    for (auto &b : host_in_)
         ctx.free(b);
-    for (auto &b : st.host_out)
+    for (auto &b : host_out_)
         ctx.free(b);
 }
 
-void
-SpecWorkload::run(rt::Context &ctx, const WorkloadParams &params) const
+} // namespace
+
+std::unique_ptr<Session>
+SpecWorkload::makeSession(const WorkloadParams &params) const
 {
     if (params.uvm && !spec_.uvm_capable)
         fatal("workload '%s' has no UVM variant", spec_.name.c_str());
-    SpecResume st = setup(ctx, params);
-    runLaunchRange(ctx, params, st, spec_.totalLaunches());
-    teardown(ctx, st);
-}
-
-std::unique_ptr<Workload::Resume>
-SpecWorkload::runPrefix(rt::Context &ctx, const WorkloadParams &params,
-                        double fraction) const
-{
-    if (params.uvm && !spec_.uvm_capable)
-        fatal("workload '%s' has no UVM variant", spec_.name.c_str());
-    const double f = std::clamp(fraction, 0.0, 1.0);
-    const int warm = static_cast<int>(
-        static_cast<double>(spec_.totalLaunches()) * f);
-    auto st = std::make_unique<SpecResume>(setup(ctx, params));
-    runLaunchRange(ctx, params, *st, warm);
-    return st;
-}
-
-void
-SpecWorkload::runSuffix(rt::Context &ctx, const WorkloadParams &params,
-                        const Resume &resume) const
-{
-    const auto *spec_resume =
-        dynamic_cast<const SpecResume *>(&resume);
-    if (!spec_resume)
-        fatal("runSuffix got a foreign resume state");
-    SpecResume st = *spec_resume;  // each cell replays its own copy
-    runLaunchRange(ctx, params, st, spec_.totalLaunches());
-    teardown(ctx, st);
-}
-
-std::unique_ptr<Workload::Resume>
-SpecWorkload::runSegment(rt::Context &ctx,
-                         const WorkloadParams &params,
-                         const Resume &from, double to_fraction) const
-{
-    const auto *spec_resume = dynamic_cast<const SpecResume *>(&from);
-    if (!spec_resume)
-        fatal("runSegment got a foreign resume state");
-    // Same rounding as runPrefix, so an increasing cut path tiles
-    // the launch schedule without gaps or overlaps.
-    const double f = std::clamp(to_fraction, 0.0, 1.0);
-    const int to_launch = static_cast<int>(
-        static_cast<double>(spec_.totalLaunches()) * f);
-    auto st = std::make_unique<SpecResume>(*spec_resume);
-    runLaunchRange(ctx, params, *st, to_launch);
-    return st;
-}
-
-std::unique_ptr<Workload::Resume>
-SpecWorkload::reseedResume(const Resume &resume,
-                           const WorkloadParams &params) const
-{
-    const auto *spec_resume =
-        dynamic_cast<const SpecResume *>(&resume);
-    if (!spec_resume)
-        fatal("reseedResume got a foreign resume state");
-    auto st = std::make_unique<SpecResume>(*spec_resume);
-    // Exactly what setup() under params.seed would have derived; the
-    // position state (buffers, launch cursor) carries over as-is.
-    st->rng = ketRng(spec_, params);
-    return st;
+    return std::make_unique<SpecSession>(spec_, params);
 }
 
 void

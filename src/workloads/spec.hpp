@@ -78,20 +78,13 @@ struct AppSpec
      * of the input buffers.
      */
     Bytes uvm_touch_override = 0;
-    /**
-     * fork_after warmup marker: fraction of launches a
-     * `--fork-point auto` campaign prefix covers.  The default keeps
-     * almost the whole launch schedule shareable; specs whose suffix
-     * must retain more work can lower it.
-     */
-    double fork_after = 0.9;
 
     Bytes totalInputBytes() const;
     Bytes totalOutputBytes() const;
     int totalLaunches() const;
 };
 
-/** Generic driver executing an AppSpec. */
+/** Generic driver executing an AppSpec as a Session. */
 class SpecWorkload : public Workload
 {
   public:
@@ -100,41 +93,12 @@ class SpecWorkload : public Workload
     std::string name() const override { return spec_.name; }
     std::string suite() const override { return spec_.suite; }
     bool supportsUvm() const override { return spec_.uvm_capable; }
-    void run(rt::Context &ctx, const WorkloadParams &params)
-        const override;
-
-    bool forkable() const override { return true; }
-    double defaultForkPoint() const override
-    {
-        return spec_.fork_after;
-    }
-    std::unique_ptr<Resume>
-    runPrefix(rt::Context &ctx, const WorkloadParams &params,
-              double fraction) const override;
-    void runSuffix(rt::Context &ctx, const WorkloadParams &params,
-                   const Resume &resume) const override;
-    std::unique_ptr<Resume>
-    runSegment(rt::Context &ctx, const WorkloadParams &params,
-               const Resume &from, double to_fraction) const override;
-    std::unique_ptr<Resume>
-    reseedResume(const Resume &resume,
-                 const WorkloadParams &params) const override;
+    std::unique_ptr<Session>
+    makeSession(const WorkloadParams &params) const override;
 
     const AppSpec &spec() const { return spec_; }
 
   private:
-    struct SpecResume;
-
-    /** Allocations + input transfers; returns the launch cursor. */
-    SpecResume setup(rt::Context &ctx,
-                     const WorkloadParams &params) const;
-    /** Launches with ordinal in [st.next_launch, to_launch). */
-    void runLaunchRange(rt::Context &ctx,
-                        const WorkloadParams &params, SpecResume &st,
-                        int to_launch) const;
-    /** Final sync, output transfers, frees. */
-    void teardown(rt::Context &ctx, SpecResume &st) const;
-
     AppSpec spec_;
 };
 

@@ -6,7 +6,9 @@
  *
  * Workloads are registered in a global registry at static-init time;
  * benches and tests look them up by name and run them under base and
- * CC configurations to regenerate the figures.
+ * CC configurations to regenerate the figures.  Each run is a Session
+ * (session.hpp): run() opens and finishes one in a single go, and
+ * the fork engine cuts the same session at step boundaries.
  */
 
 #ifndef HCC_WORKLOADS_WORKLOAD_HPP
@@ -22,6 +24,7 @@
 #include "trace/analysis.hpp"
 #include "trace/critpath.hpp"
 #include "trace/tracer.hpp"
+#include "workloads/session.hpp"
 
 namespace hcc::workloads {
 
@@ -54,7 +57,7 @@ struct WorkloadResult
 };
 
 /**
- * Abstract workload.
+ * Abstract workload: a named app whose runs are Sessions.
  */
 class Workload
 {
@@ -67,85 +70,14 @@ class Workload
     virtual std::string suite() const = 0;
     /** Whether a managed-memory variant exists. */
     virtual bool supportsUvm() const = 0;
-    /** Issue the app's API calls against @p ctx. */
-    virtual void run(rt::Context &ctx, const WorkloadParams &params)
-        const = 0;
 
-    // ------------------------------------------ split-phase running
-    //
-    // A forkable workload can run as a *prefix* (allocations, input
-    // transfers and the first warm launches) followed by a *suffix*
-    // (the remaining launches, final sync, output transfers and
-    // frees), with the hard contract that
-    //
-    //     run(ctx, p)
-    //  == { auto r = runPrefix(ctx, p, f); runSuffix(ctx, p, *r); }
-    //
-    // issues the *identical* API call sequence for every fraction f
-    // in [0, 1].  The campaign fork engine (snap/fork.hpp) runs the
-    // prefix once per cell group, snapshots the Context, and replays
-    // only the suffix per cell.  The Resume object carries the
-    // workload-local state crossing the cut (buffer handles, the KET
-    // jitter stream position); it is immutable after runPrefix so one
-    // instance can serve every cell forked from the same snapshot.
+    /** Build a fresh (unopened) session for @p params. */
+    virtual std::unique_ptr<Session>
+    makeSession(const WorkloadParams &params) const = 0;
 
-    /** Opaque workload state handed from runPrefix to runSuffix. */
-    struct Resume
-    {
-        virtual ~Resume() = default;
-    };
-
-    /** Whether the split-phase protocol is implemented. */
-    virtual bool forkable() const { return false; }
-
-    /**
-     * The workload's fork_after marker: the fraction of launches a
-     * `--fork-point auto` prefix covers.  High for launch-dominated
-     * apps (long shareable warmup), only meaningful when forkable().
-     */
-    virtual double defaultForkPoint() const { return 0.9; }
-
-    /**
-     * Run setup plus the first floor(total_launches * fraction)
-     * launches.  Only valid when forkable().
-     */
-    virtual std::unique_ptr<Resume>
-    runPrefix(rt::Context &ctx, const WorkloadParams &params,
-              double fraction) const;
-
-    /** Run everything run() does after the prefix cut. */
-    virtual void runSuffix(rt::Context &ctx,
-                           const WorkloadParams &params,
-                           const Resume &resume) const;
-
-    /**
-     * Chained-fork support: advance @p from (the state at some cut)
-     * to the state at @p to_fraction, issuing exactly the launches
-     * run() issues between the two cuts.  The returned Resume is a
-     * new object; @p from is untouched, so a snapshot-tree node can
-     * keep handing it to every child.  The composition invariant
-     * extends the split-phase contract: for any increasing cut path
-     * f0 < f1 < ... < 1, prefix(f0) + segment(f1) + ... + suffix
-     * issues the identical API call sequence as run().  Only valid
-     * when forkable(); the default is fatal.
-     */
-    virtual std::unique_ptr<Resume>
-    runSegment(rt::Context &ctx, const WorkloadParams &params,
-               const Resume &from, double to_fraction) const;
-
-    /**
-     * Cross-seed fork support: re-derive the workload-local
-     * stochastic state of @p resume (e.g. the KET jitter stream) for
-     * @p params.seed, exactly as runPrefix under that seed would
-     * have derived it.  Deterministic position state (buffer
-     * handles, launch cursor) is copied unchanged.  Returns nullptr
-     * when the workload keeps no seed-derived state of its own — the
-     * caller then continues with @p resume as-is.  Called by the
-     * fork engine right after rt::Context::reseedAtFork().
-     */
-    virtual std::unique_ptr<Resume>
-    reseedResume(const Resume &resume,
-                 const WorkloadParams &params) const;
+    /** Issue the app's API calls against @p ctx: one session opened
+     *  and finished in one go. */
+    void run(rt::Context &ctx, const WorkloadParams &params) const;
 };
 
 /**

@@ -322,6 +322,17 @@ TEST(CliRun, UnknownAppThrowsFatal)
     EXPECT_THROW(runCli(o, oss), hcc::FatalError);
 }
 
+/** `run --app 2mm --scale 1e12` parses (a scale is any positive
+ *  value) but overflows 2mm's KETs: a FatalError, which hccsim turns
+ *  into exit 1, never an abort. */
+TEST(CliRun, RunScaleOverflowThrowsFatal)
+{
+    const auto o = parse({"run", "--app", "2mm", "--scale", "1e12"});
+    ASSERT_TRUE(o);
+    std::ostringstream oss;
+    EXPECT_THROW(runCli(*o, oss), hcc::FatalError);
+}
+
 TEST(CliRun, HelpMentionsAllCommands)
 {
     Options o;

@@ -334,6 +334,27 @@ TEST(SweepIsolation, FailingCellDoesNotTakeDownThePool)
     EXPECT_FALSE(result.allOk());
 }
 
+/** An overflowing scale fails its own cells with a FatalError
+ *  instead of aborting the process; the other scale runs fine. */
+TEST(SweepIsolation, ScaleOverflowFailsOnlyItsCells)
+{
+    GridSpec grid;
+    grid.apps = {"2mm"};
+    grid.scales = {1.0, 1e12};
+    const auto result = runSweep(grid, 2);
+    ASSERT_EQ(result.cells.size(), 4u);
+    for (const auto &c : result.cells) {
+        if (c.cell.scale == 1.0) {
+            EXPECT_TRUE(c.ok) << c.cell.label() << ": " << c.error;
+        } else {
+            EXPECT_FALSE(c.ok) << c.cell.label();
+            EXPECT_NE(c.error.find("1e+12"), std::string::npos)
+                << c.error;
+        }
+    }
+    EXPECT_EQ(result.failures(), 2u);
+}
+
 TEST(SweepIsolation, UnknownAppFailsItsCellOnly)
 {
     GridSpec grid;

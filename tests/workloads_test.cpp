@@ -171,6 +171,30 @@ TEST(SpecDriver, NoLeaksAfterRun)
     EXPECT_EQ(ctx.liveAllocations(), 0u);
 }
 
+/** A scale whose products overflow Bytes/SimTime fails with the app
+ *  and the scale named, before the session issues any runtime call
+ *  (2mm's 1 ms KET x 1e12 is 1e21 ps, past INT64_MAX). */
+TEST(SpecDriver, ScaleOverflowIsFatalBeforeAnyCall)
+{
+    WorkloadParams p;
+    p.scale = 1e12;
+    try {
+        runWorkload("2mm", cfg(true), p);
+        FAIL() << "scale 1e12 must not run";
+    } catch (const FatalError &e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("'2mm'"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("1e+12"), std::string::npos) << msg;
+    }
+
+    rt::Context ctx(cfg(false));
+    const std::size_t setup_events = ctx.tracer().size();
+    EXPECT_THROW(WorkloadRegistry::instance().get("2mm").run(ctx, p),
+                 FatalError);
+    EXPECT_EQ(ctx.tracer().size(), setup_events);
+    EXPECT_EQ(ctx.liveAllocations(), 0u);
+}
+
 TEST(SpecDriver, RejectsEmptySpec)
 {
     AppSpec spec;
